@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Hot-path performance trajectory: indexed perf layer vs linear baseline.
+"""Hot-path performance trajectory: indexed hot path vs linear reference.
 
-Runs the three perf figures (PDP decide, publish fan-out, federated
-request-for-details at 1/2/4/8 nodes) in both ``perf`` modes on identical
-seeded work, checks decisions and audit trails are byte-identical between
-the modes, and writes the ``css-bench-perf/1`` summary.  Usage::
+Runs the three perf figures (PDP decide and publish fan-out, each against
+its linear reference, and federated request-for-details at 1/2/4/8
+nodes), checks decisions and audit trails equal the linear reference's,
+and writes the ``css-bench-perf/1`` summary.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf_hotpath.py \
         [--quick] [--nodes 1,2,4,8] [--out BENCH_perf.json]
@@ -12,7 +12,7 @@ the modes, and writes the ``css-bench-perf/1`` summary.  Usage::
 ``--quick`` scales every iteration count down for CI; the schema checker
 (``benchmarks/check_perf_schema.py``) validates the output either way and
 fails the build if the indexed PDP-decide path is not at least as fast as
-the baseline.
+the reference.
 """
 
 from __future__ import annotations
@@ -30,36 +30,27 @@ if __name__ == "__main__":  # allow running without an installed package
 from repro.perf.bench import run_suite  # noqa: E402
 
 
-def _print_summary(payload: dict) -> None:
-    def line(name: str, section: dict) -> None:
-        indexed = section["indexed"]
-        baseline = section["none"]
-        print(f"{name:<24} indexed {indexed['ops_per_second']:>10.0f} ops/s "
-              f"(p50 {indexed['latency_seconds']['p50'] * 1e6:>7.1f}us "
-              f"p95 {indexed['latency_seconds']['p95'] * 1e6:>7.1f}us)   "
-              f"none {baseline['ops_per_second']:>10.0f} ops/s "
-              f"(p50 {baseline['latency_seconds']['p50'] * 1e6:>7.1f}us "
-              f"p95 {baseline['latency_seconds']['p95'] * 1e6:>7.1f}us)   "
-              f"speedup {section['speedup']:>6.2f}x")
+def _latency(figure: dict) -> str:
+    latency = figure["latency_seconds"]
+    return (f"{figure['ops_per_second']:>10.0f} ops/s "
+            f"(p50 {latency['p50'] * 1e6:>7.1f}us "
+            f"p95 {latency['p95'] * 1e6:>7.1f}us)")
 
-    line("pdp.decide", payload["pdp_decide"])
-    line("publish.fanout", payload["publish_fanout"])
-    batch = payload["batch_publish"]
-    baseline = batch["baseline"]
-    print(f"{'publish.batch(off)':<24} "
-          f"{baseline['ops_per_second']:>10.0f} ops/s "
-          f"(per-op {baseline['per_op_seconds'] * 1e6:>7.1f}us)")
-    for figure in batch["sweep"]:
-        name = f"publish.batch@{figure['batch_size']}"
-        print(f"{name:<24} "
-              f"{figure['ops_per_second']:>10.0f} ops/s "
-              f"(per-op {figure['per_op_seconds'] * 1e6:>7.1f}us)   "
-              f"speedup {figure['speedup']:>6.2f}x")
+
+def _print_summary(payload: dict) -> None:
+    for name, key in (("pdp.decide", "pdp_decide"),
+                      ("publish.fanout", "publish_fanout")):
+        section = payload[key]
+        print(f"{name:<24} indexed {_latency(section['indexed'])}   "
+              f"reference {_latency(section['none'])}   "
+              f"speedup {section['speedup']:>6.2f}x")
     for point in payload["federated_details"]:
-        line(f"federated.details@{point['nodes']}", point)
+        print(f"{'federated.details@' + str(point['nodes']):<24} "
+              f"indexed {_latency(point)}")
     equivalence = payload["equivalence"]
     print(f"equivalence: identical={equivalence['identical']} "
-          f"({equivalence['audit_records']} audit records compared)")
+          f"({equivalence['audit_records']} audit records, "
+          f"{equivalence['decisions']} decisions compared)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,8 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     _print_summary(payload)
 
     if not payload["equivalence"]["identical"]:
-        print("bench_perf_hotpath: indexed and none modes disagree — the "
-              "perf layer changed a decision or an audit record",
+        print("bench_perf_hotpath: the indexed path disagrees with the "
+              "linear reference on a decision or an audit record",
               file=sys.stderr)
         return 1
 

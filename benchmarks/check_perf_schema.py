@@ -5,11 +5,15 @@ CI runs ``bench_perf_hotpath.py --quick --out BENCH_perf.json`` and then
 this script.  Beyond shape validation it enforces the two semantic
 gates of the perf layer:
 
-* ``equivalence.identical`` must be ``true`` — the indexed mode may
-  never change a decision or an audit record;
+* ``equivalence.identical`` must be ``true`` — the indexed path's
+  decisions and audit records must equal the linear reference's;
 * the indexed PDP-decide path must be at least as fast as the linear
-  baseline (``pdp_decide.speedup >= 1.0``) — the index can never rot
+  reference (``pdp_decide.speedup >= 1.0``) — the index can never rot
   into a slowdown unnoticed.
+
+``pdp_decide`` and ``publish_fanout`` compare two arms, ``indexed`` (the
+runtime path) and ``none`` (the linear reference).  Each
+``federated_details`` point is one measurement of the runtime path.
 
 Usage::
 
@@ -29,7 +33,7 @@ SCHEMA_ID = "css-bench-perf/1"
 LATENCY_KEYS = ("p50", "p95", "p99", "mean", "min", "max")
 MODES = ("indexed", "none")
 
-#: The indexed PDP path must never regress below the linear baseline.
+#: The indexed PDP path must never regress below the linear reference.
 MIN_PDP_SPEEDUP = 1.0
 
 
@@ -105,7 +109,7 @@ def validate(payload: object) -> list[str]:
         nodes = point.get("nodes")
         if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1:
             problems.append(f"{where}.nodes must be a positive integer")
-        problems.extend(_validate_comparison(point, where))
+        problems.extend(_validate_measurement(point, where))
 
     equivalence = payload.get("equivalence")
     if not isinstance(equivalence, dict):
@@ -113,8 +117,9 @@ def validate(payload: object) -> list[str]:
     else:
         if equivalence.get("identical") is not True:
             problems.append(
-                "equivalence.identical must be true — indexed and none "
-                "modes produced different decisions or audit records"
+                "equivalence.identical must be true — the indexed path "
+                "and the linear reference produced different decisions "
+                "or audit records"
             )
         records = equivalence.get("audit_records")
         if not isinstance(records, int) or isinstance(records, bool) or records <= 0:
@@ -126,7 +131,7 @@ def validate(payload: object) -> list[str]:
             problems.append(
                 f"pdp_decide.speedup {pdp['speedup']:.2f} is below the "
                 f"{MIN_PDP_SPEEDUP:.1f}x floor — the indexed PDP path "
-                "regressed below the linear baseline"
+                "regressed below the linear reference"
             )
     return problems
 
@@ -152,7 +157,7 @@ def main(argv: list[str]) -> int:
     pdp = payload["pdp_decide"]["speedup"]
     fanout = payload["publish_fanout"]["speedup"]
     print(f"check_perf_schema: {path} ok (pdp decide {pdp:.1f}x, "
-          f"publish fanout {fanout:.1f}x vs linear baseline)")
+          f"publish fanout {fanout:.1f}x vs linear reference)")
     return 0
 
 

@@ -65,10 +65,7 @@ class ServiceBus:
         self._clock = clock or Clock()
         self._ids = ids or IdFactory()
         self._topics = TopicTree()
-        perf = perf if perf is not None and perf.enabled else None
-        self._subscriptions = SubscriptionRegistry(
-            indexed=perf is not None, perf=perf
-        )
+        self._subscriptions = SubscriptionRegistry(perf=perf)
         self._engine = DeliveryEngine(delivery_policy)
         self.auto_dispatch = auto_dispatch
         self.strict_topics = strict_topics
@@ -166,91 +163,29 @@ class ServiceBus:
         now = self._clock.now()
         if self._sched is not None:
             self._sched.note_publish(sender, now)
-        envelope = self._make_envelope(topic, sender, body, correlation_id,
-                                       headers)
+        envelope = Envelope(
+            message_id=self._ids.next("msg"),
+            topic=topic,
+            sender=sender,
+            body=body,
+            created_at=now,
+            correlation_id=correlation_id,
+            headers=headers or {},
+        )
+        self.stats.published += 1
+        self.stats.bytes_published += envelope.size_estimate()
         matching = self._subscriptions.matching_topic(topic)
         self._fan_out(envelope, matching, now)
         if self.auto_dispatch and matching:
             self.dispatch()
         return envelope
 
-    def publish_many(
-        self,
-        items: list[tuple[str, str, object]],
-    ) -> list[Envelope]:
-        """Vectorized publish: fan a batch out with amortized bookkeeping.
-
-        ``items`` is a list of ``(topic, sender, body)`` triples.  Every
-        topic is validated up front (all-or-nothing under
-        ``strict_topics``), the subscription trie is resolved once per
-        distinct topic, the scheduler meters each run of consecutive
-        same-sender items as one tenant-batch, and — with
-        ``auto_dispatch`` — a single dispatch round runs at the end
-        instead of one per publish.  Per-envelope fan-out, shedding and
-        high-water accounting are identical to sequential
-        :meth:`publish` calls.
-        """
-        if self.strict_topics:
-            for topic, _sender, _body in items:
-                if not self._topics.exists(topic):
-                    raise UnknownTopicError(
-                        f"publish to undeclared topic {topic!r}"
-                    )
-        now = self._clock.now()
-        envelopes: list[Envelope] = []
-        matching_memo: dict[str, list[Subscription]] = {}
-        any_matching = False
-        position = 0
-        while position < len(items):
-            sender = items[position][1]
-            run_end = position
-            while run_end < len(items) and items[run_end][1] == sender:
-                run_end += 1
-            if self._sched is not None:
-                self._sched.note_publish_many(sender, run_end - position, now)
-            for topic, item_sender, body in items[position:run_end]:
-                envelope = self._make_envelope(topic, item_sender, body,
-                                               None, None)
-                matching = matching_memo.get(topic)
-                if matching is None:
-                    matching = self._subscriptions.matching_topic(topic)
-                    matching_memo[topic] = matching
-                self._fan_out(envelope, matching, now)
-                any_matching = any_matching or bool(matching)
-                envelopes.append(envelope)
-            position = run_end
-        if self.auto_dispatch and any_matching:
-            self.dispatch()
-        return envelopes
-
-    def _make_envelope(
-        self,
-        topic: str,
-        sender: str,
-        body: object,
-        correlation_id: str | None,
-        headers: dict[str, str] | None,
-    ) -> Envelope:
-        envelope = Envelope(
-            message_id=self._ids.next("msg"),
-            topic=topic,
-            sender=sender,
-            body=body,
-            created_at=self._clock.now(),
-            correlation_id=correlation_id,
-            headers=headers or {},
-        )
-        self.stats.published += 1
-        self.stats.bytes_published += envelope.size_estimate()
-        return envelope
-
     def _fan_out(self, envelope: Envelope,
                  matching: list[Subscription], now: float) -> None:
         """Enqueue one envelope into every matching subscription.
 
-        The shared fan-out engine of :meth:`publish` and
-        :meth:`publish_many`: sched metering and shedding per
-        subscriber, queue/dead-letter high-water marks, telemetry.
+        Sched metering and shedding per subscriber, queue/dead-letter
+        high-water marks, telemetry.
         """
         topic = envelope.topic
         size = envelope.size_estimate()

@@ -64,31 +64,22 @@ class Subscription:
 class SubscriptionRegistry:
     """All subscriptions known to the broker, indexed for fan-out.
 
-    With ``indexed`` (enabled by the ``perf: indexed`` kernel layer) the
-    registry additionally maintains a segment trie over the subscription
-    patterns plus a per-topic fan-out memo, so :meth:`matching_topic` is
-    independent of the total subscription count.  Both paths return
-    subscriptions in registration order — the property tests assert the
-    two agree on arbitrary pattern/topic sets.
+    A segment trie over the subscription patterns plus a per-topic
+    fan-out memo make :meth:`matching_topic` independent of the total
+    subscription count.  :meth:`matching_topic_linear` is the reference
+    scan the property tests and the fan-out benchmark compare against;
+    no runtime path calls it.  Both return subscriptions in registration
+    order.
     """
 
-    def __init__(self, indexed: bool = False, perf=None) -> None:
+    def __init__(self, perf=None) -> None:
+        from repro.perf.topic_index import TopicTrie
+
         self._subscriptions: dict[str, Subscription] = {}
-        self._indexed = indexed
-        self._perf = perf if perf is not None and perf.enabled else None
+        self._perf = perf
         self._order = 0
-        self._order_of: dict[str, int] = {}
-        self._trie = None
-        if indexed:
-            from repro.perf.topic_index import TopicTrie
-
-            self._trie = TopicTrie()
+        self._trie = TopicTrie()
         self._fanout_memo: dict[str, list[Subscription]] = {}
-
-    @property
-    def indexed(self) -> bool:
-        """Whether the trie/memo fast path is active."""
-        return self._indexed
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -100,10 +91,8 @@ class SubscriptionRegistry:
                 f"duplicate subscription id {subscription.subscription_id!r}"
             )
         self._subscriptions[subscription.subscription_id] = subscription
-        self._order_of[subscription.subscription_id] = self._order
-        if self._trie is not None:
-            self._trie.add(subscription.pattern, self._order, subscription)
-            self._fanout_memo.clear()
+        self._trie.add(subscription.pattern, self._order, subscription)
+        self._fanout_memo.clear()
         self._order += 1
 
     def remove(self, subscription_id: str) -> Subscription:
@@ -112,10 +101,8 @@ class SubscriptionRegistry:
             subscription = self._subscriptions.pop(subscription_id)
         except KeyError as exc:
             raise SubscriptionError(f"no subscription {subscription_id!r}") from exc
-        self._order_of.pop(subscription_id, None)
-        if self._trie is not None:
-            self._trie.remove(subscription.pattern, subscription)
-            self._fanout_memo.clear()
+        self._trie.remove(subscription.pattern, subscription)
+        self._fanout_memo.clear()
         return subscription
 
     def get(self, subscription_id: str) -> Subscription:
@@ -132,11 +119,9 @@ class SubscriptionRegistry:
     def matching_topic(self, topic: str) -> list[Subscription]:
         """Every subscription whose pattern matches ``topic``.
 
-        Registration order on both paths; the indexed path memoizes the
-        fan-out list per topic until the next subscribe/withdraw.
+        Registration order; the fan-out list is memoized per topic until
+        the next subscribe/withdraw.
         """
-        if self._trie is None:
-            return self.matching_topic_linear(topic)
         memoized = self._fanout_memo.get(topic)
         if memoized is not None:
             if self._perf is not None:
@@ -149,11 +134,7 @@ class SubscriptionRegistry:
         return list(matching)
 
     def matching_topic_linear(self, topic: str) -> list[Subscription]:
-        """The reference linear scan (the ``perf: none`` fan-out path).
-
-        Kept callable on indexed registries too so the equivalence tests
-        can compare both implementations on the same live registry.
-        """
+        """The reference linear scan over every subscription."""
         from repro.bus.topics import topic_matches
 
         return [

@@ -60,7 +60,7 @@ class FederatedIndexStore:
         self.membership = membership
         self.node_id = node_id
         self.stats = FederatedIndexStats()
-        self._perf = perf if perf is not None and perf.enabled else None
+        self._perf = perf
         #: Batch policy (kernel kind ``batch``): when enabled, remote
         #: stores coalesce into per-owner frames instead of one link call
         #: per entry.  ``None``/disabled keeps the historical behavior.
@@ -352,17 +352,18 @@ class FederatedIndexStore:
         return total
 
     def _fanout_wire(self, operation: str, payload: dict, peers: int) -> str | None:
-        """Encode a fan-out request once (perf layer on, ≥1 peer).
+        """Encode a fan-out request once for all peers (None without peers).
 
         The first peer counts as the ``wire`` cache miss, every further
         peer as a hit; with tracing active the link re-encodes anyway and
         the hint is simply ignored.
         """
-        if self._perf is None or peers == 0:
+        if peers == 0:
             return None
         from repro.federation.link import wire_message
 
-        self._perf.record_miss("wire")
+        if self._perf is not None:
+            self._perf.record_miss("wire")
         return wire_message(operation, payload)
 
     # -- rebalance ----------------------------------------------------------

@@ -59,9 +59,6 @@ class FederatedScenarioConfig:
     #: (the retry budget redelivers them) — degrades the link-delivery SLO
     #: without failing any call.
     scripted_drops: int = 0
-    #: Hot-path performance layer on every node: "indexed" or "none"
-    #: (the ablation baseline) — see ``RuntimeConfig.perf``.
-    perf: str = "indexed"
     #: Tenant scheduler on every node: "none" (fifo baseline) or "fair"
     #: (deficit-round-robin with admission) — see ``RuntimeConfig.sched``.
     sched: str = "none"
@@ -173,8 +170,7 @@ class FederatedScenario:
             shards=self.config.nodes,
             clock=self.clock,
             seed=f"fedsc-{self.config.seed}",
-            runtime=replace(base_runtime, perf=self.config.perf,
-                            sched=self.config.sched,
+            runtime=replace(base_runtime, sched=self.config.sched,
                             batch=self.config.batch,
                             batch_size=self.config.batch_size),
             telemetry=self.telemetry,

@@ -1,4 +1,4 @@
-"""Hot-path performance layer (kernel kind ``perf``).
+"""Hot-path performance layer.
 
 The paper's two-phase protocol puts the policy enforcer and the
 notification bus on the critical path of *every* exchange (§5.2,
@@ -22,11 +22,14 @@ without changing a single decision:
   relay frames for the federation links, and the keystore's shared
   key-schedule cache.
 
-Everything is toggled by ``RuntimeConfig.perf``: ``indexed`` (the
-default) activates the layer, ``none`` is the ablation baseline with the
-historical linear scans.  Deny-by-default and the privacy invariants are
-preserved bit-for-bit — the benchmarks assert byte-identical decisions
-and audit trails between the two modes on the same seed.
+This is the platform's only hot path; every controller builds one
+:class:`PerfLayer`.  The linear implementations survive as reference
+oracles no runtime path calls — ``SubscriptionRegistry.matching_topic_linear``
+for fan-out and ``pep.authorize(repository.to_policy_set(...))`` for the
+PDP — and the property tests and ``BENCH_perf`` compare against them.
+Deny-by-default and the privacy invariants are preserved bit-for-bit;
+``tests/test_golden_witnesses.py`` pins the audit, outcome and transcript
+digests the linear scans produced.
 
 Cache keys and telemetry labels never carry plaintext identities: keys
 are keyed SHA-256 digests and the only label the counters use is the
@@ -65,39 +68,16 @@ class PerfStats:
         self.misses[cache] = self.misses.get(cache, 0) + 1
 
 
-class NoopPerfLayer:
-    """The ``perf: none`` baseline — every fast path stays disabled.
-
-    The controller, enforcer, bus and federation modules only consult
-    ``enabled`` (or receive ``None``), so with this layer the hot paths
-    are byte-for-byte the historical linear scans.
-    """
-
-    enabled = False
-    name = "none"
-
-    def bind(self, **sources) -> None:
-        """Accepts the epoch sources and ignores them."""
-
-    def record_hit(self, cache: str) -> None:
-        """No-op."""
-
-    def record_miss(self, cache: str) -> None:
-        """No-op."""
-
-
 class PerfLayer:
-    """The ``perf: indexed`` implementation — indexes and versioned caches.
+    """Indexes and versioned caches of the hot path.
 
-    Constructed by the kernel right after telemetry; :meth:`bind` attaches
-    the epoch sources (policy repository, consent resolver, endpoint
-    registry) once the controller has built them.  All keys are keyed
-    digests derived from ``secret`` — no plaintext subject or actor id is
-    ever stored or exposed.
+    Constructed by the controller right after telemetry; :meth:`bind`
+    attaches the epoch sources (policy repository, consent resolver,
+    endpoint registry) once the controller has built them, and must run
+    before the first decision.  All keys are keyed digests derived from
+    ``secret`` — no plaintext subject or actor id is ever stored or
+    exposed.
     """
-
-    enabled = True
-    name = "indexed"
 
     def __init__(self, secret: str = "css-perf", telemetry=None) -> None:
         self._secret = secret
@@ -183,40 +163,22 @@ class PerfLayer:
         self.record_hit("decision")
         return cached
 
-    def store_decision(
-        self,
-        entry,
-        request,
-        *,
-        permitted: bool,
-        released_fields: frozenset[str] = frozenset(),
-        message: str = "",
-    ) -> None:
+    def store_decision(self, entry, request, decision: CachedDecision) -> None:
         """Cache a freshly computed decision (skipped for time-bounded sets)."""
-        if self._policy_index is None:
-            return
         if self._policy_index.is_time_bounded(entry.producer_id, entry.event_type):
             return
-        key = self.decision_key(entry, request)
         self.decisions.store(
-            key,
+            self.decision_key(entry, request),
             self._versions(entry.producer_id),
-            CachedDecision(
-                permitted=permitted,
-                released_fields=released_fields,
-                message=message,
-            ),
+            decision,
         )
 
     def policy_set_for(self, entry, request):
         """The indexed candidate policy set for one decision.
 
-        Falls back to the repository's full compilation when the index is
-        not bound yet.  Observes ``pdp.candidates_scanned`` so operators
-        can watch the index trim the PDP's work.
+        Observes ``pdp.candidates_scanned`` so operators can watch the
+        index trim the PDP's work.
         """
-        if self._policy_index is None:
-            return self._repository.to_policy_set(entry.producer_id, entry.event_type)
         policy_set, scanned = self._policy_index.candidate_set(
             entry.producer_id,
             entry.event_type,
@@ -228,13 +190,3 @@ class PerfLayer:
                 CANDIDATES_SCANNED, float(scanned), buckets=_CANDIDATE_BUCKETS
             )
         return policy_set
-
-
-def perf_or_none(perf) -> "PerfLayer | None":
-    """Normalise a perf collaborator: an enabled layer, or ``None``.
-
-    Modules take ``perf=None`` and call this once, so the per-request
-    checks are a plain ``is not None`` — the disabled path composes no
-    wrappers, mirroring the telemetry facade's discipline.
-    """
-    return perf if perf is not None and perf.enabled else None

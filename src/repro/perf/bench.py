@@ -4,22 +4,27 @@ One module, two drivers: ``benchmarks/bench_perf_hotpath.py`` (the CI
 trajectory script) and the ``repro perf`` CLI both call these functions,
 so the measured paths and the summary shape cannot drift apart.
 
-Three figures, each run in both ``perf`` modes on identical seeded work:
+Three figures:
 
 * **PDP decide** — repeated authorization decisions against a policy
-  class with many candidate policies (``indexed``: policy index +
-  versioned decision cache; ``none``: full linear compile-and-evaluate);
-* **publish fan-out** — broker publishes against a population of
-  exact/``*``/``#`` subscriptions (``indexed``: segment trie + fan-out
-  memo; ``none``: linear ``topic_matches`` scan);
+  class with many candidate policies.  ``indexed`` is the runtime path
+  (policy index + versioned decision cache); ``none`` is the linear
+  reference, ``pep.authorize(repository.to_policy_set(...))`` on every
+  request (see :class:`LinearReference`);
+* **publish fan-out** — subscription matching for broker publishes
+  against a population of exact/``*``/``#`` subscriptions.  ``indexed``
+  is the runtime path (segment trie + fan-out memo); ``none`` is the
+  reference scan ``SubscriptionRegistry.matching_topic_linear``;
 * **federated request-for-details** at 1/2/4/8 nodes — the end-to-end
-  two-phase exchange over a federated deployment.
+  two-phase exchange over a federated deployment (one path, no
+  comparison).
 
 Timing is wall-clock (``time.perf_counter``) because these paths are pure
 computation — the simulated clock never advances inside them.  The
-equivalence check re-runs the standard scenario in both modes and
-compares reports and full audit payloads, so a speedup can never be
-bought with a changed decision.
+equivalence check runs the standard scenario on the runtime path and
+again with every decision taken by the linear reference, and compares
+decisions and full audit payloads, so a speedup can never be bought with
+a changed decision.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.obs.benchreport import latency_summary
 #: ``benchmarks/check_perf_schema.py``.
 SCHEMA_ID = "css-bench-perf/1"
 
-#: The perf modes every figure compares.
+#: The arms of the compared figures: the runtime path and the reference.
 MODES = ("indexed", "none")
 
 #: Node counts of the federated request-for-details figure.
@@ -62,10 +67,53 @@ def measure(op: Callable[[], object], iterations: int,
     }
 
 
+# -- the linear PDP reference -------------------------------------------------
+
+
+class LinearReference:
+    """The reference PDP: no cache, the producer's whole policy class.
+
+    Stands in for the perf layer of a
+    :class:`~repro.core.enforcement.PolicyEnforcer`, so every decision is
+    ``pep.authorize(repository.to_policy_set(...))`` — the linear oracle
+    the indexed path is measured and checked against.  No runtime path
+    builds one.
+    """
+
+    def __init__(self, repository) -> None:
+        self._repository = repository
+
+    def cached_decision(self, entry, request) -> None:
+        return None
+
+    def store_decision(self, entry, request, decision) -> None:
+        return None
+
+    def policy_set_for(self, entry, request):
+        return self._repository.to_policy_set(entry.producer_id, entry.event_type)
+
+
+def reference_enforcer(controller):
+    """A policy enforcer over ``controller``'s state that decides linearly."""
+    from repro.core.enforcement import PolicyEnforcer
+
+    return PolicyEnforcer(
+        repository=controller.policies,
+        id_map=controller.id_map,
+        purposes=controller.purposes,
+        audit_log=controller.audit_log,
+        clock=controller.clock,
+        ids=controller.ids,
+        consent_resolver=controller.consent_registry_of,
+        fetcher=controller.detail_fetcher,
+        perf=LinearReference(controller.policies),
+    )
+
+
 # -- figure 1: PDP decide ---------------------------------------------------
 
 
-def build_decide_rig(perf: str, policies: int = 32,
+def build_decide_rig(policies: int = 32,
                      seed: str = "perf-bench") -> tuple[object, list]:
     """A controller plus a cycle of permit/deny detail requests.
 
@@ -78,10 +126,9 @@ def build_decide_rig(perf: str, policies: int = 32,
     from repro import DataConsumer, DataController, DataProducer
     from repro.core.actors import Actor, ActorKind
     from repro.core.enforcement import DetailRequest
-    from repro.runtime.kernel import RuntimeConfig
     from repro.sim.generators import standard_event_templates
 
-    controller = DataController(seed=seed, runtime=RuntimeConfig(perf=perf))
+    controller = DataController(seed=seed)
     producer = DataProducer(controller, "Hospital", "Hospital")
     template = standard_event_templates()["BloodTest"]
     event_class = producer.declare_event_class(template.build_schema())
@@ -119,11 +166,8 @@ def build_decide_rig(perf: str, policies: int = 32,
     return controller, requests
 
 
-def run_pdp_decide(perf: str, policies: int = 32, iterations: int = 4000,
-                   seed: str = "perf-bench") -> dict:
-    """Time ``PolicyEnforcer.decide`` over the permit/deny request cycle."""
-    controller, requests = build_decide_rig(perf, policies=policies, seed=seed)
-    enforcer = controller.enforcer
+def run_pdp_decide(enforcer, requests: list, iterations: int = 4000) -> dict:
+    """Time ``enforcer.decide`` over the permit/deny request cycle."""
     cycle = {"position": 0}
 
     def op() -> bool:
@@ -131,32 +175,40 @@ def run_pdp_decide(perf: str, policies: int = 32, iterations: int = 4000,
         cycle["position"] += 1
         return enforcer.decide(request)
 
-    result = measure(op, iterations, warmup=len(requests))
-    result["policies"] = policies
-    stats = controller.perf.stats if controller.perf.enabled else None
-    result["cache"] = {
-        "decision_hits": stats.hits.get("decision", 0) if stats else 0,
-        "decision_misses": stats.misses.get("decision", 0) if stats else 0,
+    return measure(op, iterations, warmup=len(requests))
+
+
+def run_pdp_figure(policies: int = 32, iterations: int = 4000,
+                   seed: str = "perf-bench") -> dict:
+    """Both arms of the PDP figure on one rig: indexed vs linear reference."""
+    controller, requests = build_decide_rig(policies=policies, seed=seed)
+    figure = {
+        "indexed": run_pdp_decide(controller.enforcer, requests, iterations),
+        "none": run_pdp_decide(reference_enforcer(controller), requests,
+                               iterations),
     }
-    return result
+    stats = controller.perf.stats
+    figure["indexed"]["cache"] = {
+        "decision_hits": stats.hits.get("decision", 0),
+        "decision_misses": stats.misses.get("decision", 0),
+    }
+    figure["policies"] = policies
+    figure["speedup"] = _speedup(figure)
+    return figure
 
 
 # -- figure 2: publish fan-out ----------------------------------------------
 
 
-def build_fanout_rig(perf: str, subscribers: int = 64,
+def build_fanout_rig(subscribers: int = 64,
                      topics: int = 12) -> tuple[object, list[str]]:
-    """A broker with a mixed exact/``*``/``#`` subscription population."""
-    from repro.bus.broker import ServiceBus
-    from repro.perf import PerfLayer
+    """A subscription registry with a mixed exact/``*``/``#`` population."""
+    from repro.bus.subscriptions import Subscription, SubscriptionRegistry
 
-    layer = PerfLayer() if perf == "indexed" else None
-    bus = ServiceBus(perf=layer)
+    registry = SubscriptionRegistry()
     topic_names = [
         f"events.cat{index % 4}.Class{index}" for index in range(topics)
     ]
-    for topic in topic_names:
-        bus.declare_topic(topic)
 
     def handler(envelope) -> None:
         return None
@@ -168,92 +220,44 @@ def build_fanout_rig(perf: str, subscribers: int = 64,
             pattern = patterns[index % len(patterns)]
         else:
             pattern = topic_names[index % len(topic_names)]
-        bus.subscribe(f"consumer-{index}", pattern, handler)
-    return bus, topic_names
+        registry.add(Subscription(
+            subscription_id=f"sub-{index}", subscriber=f"consumer-{index}",
+            pattern=pattern, handler=handler,
+        ))
+    return registry, topic_names
 
 
-def run_publish_fanout(perf: str, subscribers: int = 64,
-                       iterations: int = 1500, topics: int = 12) -> dict:
-    """Time broker publishes (match + enqueue + dispatch) per mode."""
-    bus, topic_names = build_fanout_rig(perf, subscribers=subscribers,
-                                        topics=topics)
-    cycle = {"position": 0}
+def run_publish_fanout(subscribers: int = 64, iterations: int = 1500,
+                       topics: int = 12) -> dict:
+    """Time per-publish subscription matching: trie + memo vs linear scan."""
+    registry, topic_names = build_fanout_rig(subscribers=subscribers,
+                                             topics=topics)
+    figure: dict = {}
+    for mode, match in (("indexed", registry.matching_topic),
+                        ("none", registry.matching_topic_linear)):
+        cycle = {"position": 0, "matched": 0}
 
-    def op() -> object:
-        topic = topic_names[cycle["position"] % len(topic_names)]
-        cycle["position"] += 1
-        return bus.publish(topic, sender="bench", body="<event/>")
+        def op(match=match, cycle=cycle) -> None:
+            topic = topic_names[cycle["position"] % len(topic_names)]
+            cycle["position"] += 1
+            cycle["matched"] += len(match(topic))
 
-    result = measure(op, iterations, warmup=len(topic_names))
-    result["subscribers"] = subscribers
-    result["fanned_out"] = bus.stats.fanned_out
-    return result
-
-
-def run_batch_publish_sweep(
-    sizes: tuple[int, ...] = (1, 16, 256),
-    messages: int = 1536,
-    subscribers: int = 64,
-    topics: int = 12,
-) -> dict:
-    """Wall-clock sweep of ``publish_many`` batch sizes vs per-call publish.
-
-    Pushes the same ``messages`` stream through the fan-out rig once via
-    sequential :meth:`~repro.bus.broker.ServiceBus.publish` (the
-    baseline) and once per batch size via
-    :meth:`~repro.bus.broker.ServiceBus.publish_many` in ``size``-long
-    chunks.  Amortization measured: one trie resolution per distinct
-    topic per chunk and one dispatch round per chunk instead of one of
-    each per message.
-    """
-    def stream() -> list[tuple[str, str, object]]:
-        bus, topic_names = build_fanout_rig(
-            "indexed", subscribers=subscribers, topics=topics,
-        )
-        items = [
-            (topic_names[position % len(topic_names)], "bench", "<event/>")
-            for position in range(messages)
-        ]
-        return bus, items
-
-    clock = time.perf_counter
-    bus, items = stream()
-    started = clock()
-    for topic, sender, body in items:
-        bus.publish(topic, sender=sender, body=body)
-    baseline_elapsed = max(clock() - started, 1e-9)
-    baseline = {
-        "messages": messages,
-        "ops_per_second": messages / baseline_elapsed,
-        "per_op_seconds": baseline_elapsed / messages,
-    }
-    sweep = []
-    for size in sizes:
-        bus, items = stream()
-        started = clock()
-        for position in range(0, len(items), size):
-            bus.publish_many(items[position:position + size])
-        elapsed = max(clock() - started, 1e-9)
-        sweep.append({
-            "batch_size": size,
-            "messages": messages,
-            "ops_per_second": messages / elapsed,
-            "per_op_seconds": elapsed / messages,
-            "speedup": baseline_elapsed / elapsed,
-        })
-    return {"baseline": baseline, "sweep": sweep}
+        figure[mode] = measure(op, iterations, warmup=len(topic_names))
+        figure[mode]["matched"] = cycle["matched"]
+    figure["subscribers"] = subscribers
+    figure["speedup"] = _speedup(figure)
+    return figure
 
 
 # -- figure 3: federated request-for-details --------------------------------
 
 
-def build_federated_rig(perf: str, nodes: int, events: int = 80,
+def build_federated_rig(nodes: int, events: int = 80,
                         patients: int = 12, seed: int = 2010):
     """A populated N-node federation plus its detail-request sample.
 
     Publishes the seeded workload (no detail requests yet), then derives
-    one request tuple per (event, subscribed consumer) pair — the same
-    pairs in both modes, so the timed loops issue identical work.
+    one request tuple per (event, subscribed consumer) pair.
     """
     from repro.federation.scenario import (
         ROLE_PURPOSES,
@@ -263,7 +267,7 @@ def build_federated_rig(perf: str, nodes: int, events: int = 80,
 
     scenario = FederatedScenario(FederatedScenarioConfig(
         nodes=nodes, n_events=events, n_patients=patients, seed=seed,
-        detail_request_rate=0.0, perf=perf,
+        detail_request_rate=0.0,
     ))
     platform = scenario.platform
     config = scenario.config
@@ -288,14 +292,14 @@ def build_federated_rig(perf: str, nodes: int, events: int = 80,
     return platform, requests
 
 
-def run_federated_details(perf: str, nodes: int, iterations: int = 300,
+def run_federated_details(nodes: int, iterations: int = 300,
                           events: int = 80, patients: int = 12,
                           seed: int = 2010) -> dict:
     """Time end-to-end requests-for-details across an N-node federation."""
     from repro.exceptions import AccessDeniedError
 
     platform, requests = build_federated_rig(
-        perf, nodes, events=events, patients=patients, seed=seed,
+        nodes, events=events, patients=patients, seed=seed,
     )
     outcomes = {"permits": 0, "denies": 0}
     cycle = {"position": 0}
@@ -324,29 +328,60 @@ def run_federated_details(perf: str, nodes: int, iterations: int = 300,
 
 def run_equivalence_check(events: int = 60, patients: int = 8,
                           seed: int = 42) -> dict:
-    """Run the standard scenario in both modes; decisions and audit must
-    be byte-identical (the acceptance gate of the perf layer)."""
-    from repro.runtime.kernel import RuntimeConfig
-    from repro.sim.scenario import CssScenario, ScenarioConfig
+    """Indexed decisions and audit payloads against the linear reference.
 
-    def one(perf: str):
+    The standard scenario runs twice on one seed: on the runtime path,
+    and with the controller's enforcer replaced by
+    :func:`reference_enforcer`, so every detail request is decided by
+    the reference.  Outcomes and full audit payloads must be equal.
+    Then every pairing of a delivered notification with a consumer and a
+    purpose — denials included — is decided by both on the indexed run's
+    final state, and the verdicts must agree.  This is the acceptance
+    gate of the indexed path.
+    """
+    from repro.core.enforcement import DetailRequest
+    from repro.sim.scenario import ROLE_PURPOSES, CssScenario, ScenarioConfig
+
+    def one(reference: bool):
         scenario = CssScenario(ScenarioConfig(
             n_patients=patients, n_events=events, seed=seed,
-            runtime=RuntimeConfig(perf=perf),
         ))
+        if reference:
+            scenario.controller.enforcer = reference_enforcer(scenario.controller)
         report = scenario.run()
         audit = [record.to_payload()
                  for record in scenario.controller.audit_log.records()]
         outcome = (report.events_published, report.detail_permits,
                    report.detail_denies, report.notifications_delivered)
-        return outcome, audit
+        return scenario, outcome, audit
 
-    indexed_outcome, indexed_audit = one("indexed")
-    none_outcome, none_audit = one("none")
+    scenario, indexed_outcome, indexed_audit = one(reference=False)
+    _, reference_outcome, reference_audit = one(reference=True)
+
+    controller = scenario.controller
+    reference = reference_enforcer(controller)
+    consumers = list(scenario.consumers.values())
+    notifications = {
+        notification.event_id: notification
+        for consumer in consumers for notification in consumer.inbox
+    }
+    decisions = disagreements = 0
+    for notification in notifications.values():
+        for consumer in consumers:
+            for purpose in sorted(set(ROLE_PURPOSES.values())):
+                request = DetailRequest(
+                    actor=consumer.actor, event_type=notification.event_type,
+                    event_id=notification.event_id, purpose=purpose,
+                )
+                decisions += 1
+                if controller.enforcer.decide(request) != reference.decide(request):
+                    disagreements += 1
     return {
-        "identical": indexed_outcome == none_outcome
-        and indexed_audit == none_audit,
+        "identical": indexed_outcome == reference_outcome
+        and indexed_audit == reference_audit
+        and disagreements == 0,
         "audit_records": len(indexed_audit),
+        "decisions": decisions,
         "outcome": list(indexed_outcome),
     }
 
@@ -361,43 +396,29 @@ def _speedup(by_mode: dict) -> float:
 
 def run_suite(quick: bool = False, node_counts: tuple[int, ...] | None = None,
               seed: int = 2010, source: str = "repro.perf.bench") -> dict:
-    """Run every figure in both modes and fold into the summary payload."""
+    """Run every figure and fold them into the summary payload."""
     scale = 0.25 if quick else 1.0
     counts = tuple(node_counts or DEFAULT_NODE_COUNTS)
     if quick:
         counts = tuple(count for count in counts if count <= 2) or counts[:1]
 
-    pdp = {mode: run_pdp_decide(mode, iterations=int(4000 * scale) or 400)
-           for mode in MODES}
-    fanout = {mode: run_publish_fanout(mode, iterations=int(1500 * scale) or 200)
-              for mode in MODES}
-    federated = []
-    for nodes in counts:
-        point = {mode: run_federated_details(
-            mode, nodes,
+    federated = [
+        run_federated_details(
+            nodes,
             iterations=int(300 * scale) or 40,
             events=int(80 * scale) or 20,
             seed=seed,
-        ) for mode in MODES}
-        federated.append({
-            "nodes": nodes,
-            "indexed": point["indexed"],
-            "none": point["none"],
-            "speedup": _speedup(point),
-        })
-    equivalence = run_equivalence_check(
-        events=int(60 * scale) or 20, seed=seed,
-    )
-    batch_publish = run_batch_publish_sweep(
-        messages=int(1536 * scale) or 256,
-    )
+        )
+        for nodes in counts
+    ]
     return {
         "schema": SCHEMA_ID,
         "source": source,
         "quick": quick,
-        "pdp_decide": {**pdp, "speedup": _speedup(pdp)},
-        "publish_fanout": {**fanout, "speedup": _speedup(fanout)},
-        "batch_publish": batch_publish,
+        "pdp_decide": run_pdp_figure(iterations=int(4000 * scale) or 400),
+        "publish_fanout": run_publish_fanout(iterations=int(1500 * scale) or 200),
         "federated_details": federated,
-        "equivalence": equivalence,
+        "equivalence": run_equivalence_check(
+            events=int(60 * scale) or 20, seed=seed,
+        ),
     }

@@ -46,6 +46,7 @@ from repro.exceptions import (
     UnknownEventError,
     UnknownProducerError,
 )
+from repro.perf.decision_cache import CachedDecision
 from repro.xacml.context import (
     ATTR_ACTION_PURPOSE,
     ATTR_RESOURCE_EVENT_ID,
@@ -228,6 +229,33 @@ def resolve_request_entry(request, purposes, id_map) -> EventIdEntry:
     except (AccessDeniedError, UnknownEventError) as exc:
         raise AccessDeniedError(str(exc), request) from exc
     return entry
+
+
+def policy_decision(perf, pep, entry, request) -> CachedDecision:
+    """Steps 2–3 of Algorithm 1: one PDP decision, cached when repeatable.
+
+    Replays the perf layer's versioned cache when it holds a valid
+    decision; otherwise evaluates the policy index's candidate set and
+    caches the outcome.  A deny carries the PDP's status message, a
+    permit the union of its field-release obligations (possibly empty).
+    """
+    cached = perf.cached_decision(entry, request)
+    if cached is not None:
+        return cached
+    response = pep.authorize(
+        perf.policy_set_for(entry, request), build_request_context(request)
+    )
+    if response.permitted:
+        decision = CachedDecision(
+            permitted=True, released_fields=released_fields(response.obligations)
+        )
+    else:
+        decision = CachedDecision(
+            permitted=False,
+            message=response.status_message or "no matching policy (deny-by-default)",
+        )
+    perf.store_decision(entry, request, decision)
+    return decision
 
 
 # ---------------------------------------------------------------------------
@@ -603,59 +631,27 @@ class DetailConsentInterceptor:
 class PolicyDecideInterceptor:
     """PDP evaluation over the certified repository (steps 2–3).
 
-    With the indexed perf layer the stage first consults the versioned
-    decision cache (a replayed outcome raises the *same* deny message or
-    releases the *same* field set, so audit trails are byte-identical)
-    and, on a miss, evaluates only the policy index's bucketed
-    candidates.  Without a perf layer it is the historical full scan.
+    The stage consults the perf layer's versioned decision cache (a
+    replayed outcome raises the *same* deny message or releases the
+    *same* field set, so audit trails are byte-identical) and, on a miss,
+    evaluates only the policy index's bucketed candidates.
     """
 
     name = "decide"
 
-    def __init__(self, repository, pep, perf=None) -> None:
-        self._repository = repository
+    def __init__(self, pep, perf) -> None:
         self._pep = pep
         self._perf = perf
 
     def intercept(self, invocation: Invocation, proceed: Proceed) -> Any:
         context = invocation.context
         request = context["request"]
-        entry = context["entry"]
-        perf = self._perf
-        if perf is not None:
-            cached = perf.cached_decision(entry, request)
-            if cached is not None:
-                if not cached.permitted:
-                    raise AccessDeniedError(cached.message, request)
-                if not cached.released_fields:
-                    raise AccessDeniedError(
-                        "matching policy releases no fields", request
-                    )
-                context["released_fields"] = cached.released_fields
-                return proceed(invocation)
-            policy_set = perf.policy_set_for(entry, request)
-        else:
-            policy_set = self._repository.to_policy_set(
-                entry.producer_id, entry.event_type
-            )
-        response = self._pep.authorize(policy_set, build_request_context(request))
-        if not response.permitted:
-            message = response.status_message or "no matching policy (deny-by-default)"
-            if perf is not None:
-                perf.store_decision(entry, request, permitted=False, message=message)
-            raise AccessDeniedError(message, request)
-        allowed = released_fields(response.obligations)
-        if not allowed:
-            if perf is not None:
-                perf.store_decision(
-                    entry, request, permitted=True, released_fields=allowed
-                )
+        decision = policy_decision(self._perf, self._pep, context["entry"], request)
+        if not decision.permitted:
+            raise AccessDeniedError(decision.message, request)
+        if not decision.released_fields:
             raise AccessDeniedError("matching policy releases no fields", request)
-        if perf is not None:
-            perf.store_decision(
-                entry, request, permitted=True, released_fields=allowed
-            )
-        context["released_fields"] = allowed
+        context["released_fields"] = decision.released_fields
         return proceed(invocation)
 
 
@@ -784,11 +780,10 @@ def build_enforcement_pipeline(
     purposes,
     id_map,
     consent_resolver,
-    repository,
     pep,
     fetcher,
+    perf,
     telemetry=None,
-    perf=None,
 ) -> InterceptorPipeline:
     """Algorithm 1 as a chain: resolve → consent → decide → fetch → filter."""
     return InterceptorPipeline(
@@ -797,7 +792,7 @@ def build_enforcement_pipeline(
             DetailAuditInterceptor(audit, ids, clock),
             ResolveInterceptor(purposes, id_map),
             DetailConsentInterceptor(consent_resolver),
-            PolicyDecideInterceptor(repository, pep, perf=perf),
+            PolicyDecideInterceptor(pep, perf),
             GatewayFetchInterceptor(fetcher),
             FieldFilterInterceptor(),
         ],

@@ -40,7 +40,6 @@ KIND_TELEMETRY = "telemetry"
 KIND_FEDERATION = "federation"
 KIND_SLO = "slo"
 KIND_PROFILING = "profiling"
-KIND_PERF = "perf"
 KIND_STORE = "store"
 KIND_SCHED = "sched"
 KIND_RECORDER = "recorder"
@@ -70,11 +69,6 @@ class RuntimeConfig:
     #: Profiler: "noop" (default) or "sampling" (deterministic section
     #: profiler over the simulated clock, labels guard-hashed).
     profiling: str = "noop"
-    #: Hot-path performance layer: "indexed" (default — policy index,
-    #: versioned decision cache, subscription trie, wire caches) or
-    #: "none" (the linear-scan ablation baseline).  Decisions and audit
-    #: trails are identical either way; only the speed differs.
-    perf: str = "indexed"
     #: Durable store engine behind the jsonl index/audit backends:
     #: "jsonl" (flat files, the ablation baseline) or "segmented" (the
     #: storage engine — segmented checksummed logs with compaction,
@@ -374,21 +368,6 @@ def _sampling_profiler(**context: Any) -> Any:
     )
 
 
-def _no_perf(**context: Any) -> Any:
-    from repro.perf import NoopPerfLayer
-
-    return NoopPerfLayer()
-
-
-def _indexed_perf(**context: Any) -> Any:
-    from repro.perf import PerfLayer
-
-    return PerfLayer(
-        secret=context.get("master_secret", "css-perf"),
-        telemetry=context.get("telemetry"),
-    )
-
-
 def _jsonl_store(**context: Any) -> Any:
     from repro.storage.engine import JsonlStore
 
@@ -501,8 +480,6 @@ def default_kernel() -> ServiceKernel:
     kernel.register(KIND_SLO, "default", _default_slo)
     kernel.register(KIND_PROFILING, "noop", _noop_profiler)
     kernel.register(KIND_PROFILING, "sampling", _sampling_profiler)
-    kernel.register(KIND_PERF, "none", _no_perf)
-    kernel.register(KIND_PERF, "indexed", _indexed_perf)
     kernel.register(KIND_STORE, "jsonl", _jsonl_store)
     kernel.register(KIND_STORE, "segmented", _segmented_store)
     kernel.register(KIND_SCHED, "none", _no_sched)

@@ -361,21 +361,6 @@ class TenantScheduler:
         """Meter one fan-out delivery against its subscriber's tenant."""
         self.submit(subscriber, WORK_FANOUT, now)
 
-    def note_publish_many(self, sender: str, count: int, now: float) -> None:
-        """Meter a tenant-batch of publishes in one call.
-
-        Equivalent to ``count`` sequential :meth:`note_publish` calls at
-        the same instant — accounting is bitwise-identical; the batch
-        only saves the per-call bus crossings.
-        """
-        for _ in range(count):
-            self.submit(sender, WORK_PUBLISH, now)
-
-    def note_fanout_many(self, subscriber: str, count: int, now: float) -> None:
-        """Meter a tenant-batch of fan-out deliveries in one call."""
-        for _ in range(count):
-            self.submit(subscriber, WORK_FANOUT, now)
-
     # -- the fluid server --------------------------------------------------
 
     def drain(self, now: float) -> None:

@@ -4,16 +4,14 @@
 cross, never what the platform decides or what its audit trail says.
 These tests pin the contract the ``BENCH_batch.json`` gate enforces at
 scale: identical audit digests and PDP decision streams batched vs
-unbatched (including under ``sched: fair``), vectorized bus fanout that
-delivers exactly what sequential publishes deliver, and per-entry
-delivery accounting on coalesced link frames.
+unbatched (including under ``sched: fair``), and per-entry delivery
+accounting on coalesced link frames.
 """
 
 import pytest
 
 from repro import RuntimeConfig
-from repro.bus.broker import ServiceBus
-from repro.exceptions import LinkFailureError, UnknownTopicError
+from repro.exceptions import LinkFailureError
 from repro.federation.link import BATCH_ENTRY_COST
 from repro.workload.capacity import run_point
 from repro.workload.config import workload_config
@@ -81,57 +79,6 @@ class TestSchedFairEquivalence:
                         "detail_denies", "queue_depth_high_water",
                         "dead_letter_high_water"):
             assert batched[counter] == baseline[counter]
-
-
-def fanout_bus():
-    bus = ServiceBus()
-    bus.declare_topic("events.health.BloodTest")
-    bus.declare_topic("events.social.HomeCare")
-    boxes = {"doctor": [], "monitor": []}
-    bus.subscribe("doctor", "events.health.BloodTest",
-                  boxes["doctor"].append)
-    bus.subscribe("monitor", "events.#", boxes["monitor"].append)
-    return bus, boxes
-
-
-ITEMS = [
-    ("events.health.BloodTest", "hospital", "b1"),
-    ("events.health.BloodTest", "hospital", "b2"),
-    ("events.social.HomeCare", "municipality", "h1"),
-    ("events.health.BloodTest", "hospital", "b3"),
-]
-
-
-class TestPublishManyEquivalence:
-    def test_vectorized_fanout_matches_sequential_publishes(self):
-        sequential, seq_boxes = fanout_bus()
-        for topic, sender, body in ITEMS:
-            sequential.publish(topic, sender, body)
-        vectorized, vec_boxes = fanout_bus()
-        envelopes = vectorized.publish_many(ITEMS)
-
-        assert len(envelopes) == len(ITEMS)
-        for subscriber in seq_boxes:
-            assert ([e.body for e in vec_boxes[subscriber]]
-                    == [e.body for e in seq_boxes[subscriber]])
-        assert vectorized.stats.published == sequential.stats.published
-        assert vectorized.stats.fanned_out == sequential.stats.fanned_out
-
-    def test_strict_topics_validated_up_front(self):
-        bus, boxes = fanout_bus()
-        with pytest.raises(UnknownTopicError):
-            bus.publish_many([
-                ("events.health.BloodTest", "hospital", "ok"),
-                ("events.health.Undeclared", "hospital", "bad"),
-            ])
-        # All-or-nothing: the valid head of the batch was not published.
-        assert bus.stats.published == 0
-        assert boxes["doctor"] == []
-
-    def test_empty_batch_is_a_noop(self):
-        bus, _boxes = fanout_bus()
-        assert bus.publish_many([]) == []
-        assert bus.stats.published == 0
 
 
 class TestCallBatchAccounting:

@@ -9,7 +9,7 @@ deny-by-default can never be outlived by a stale fast path.
 
 import pytest
 
-from repro import DataConsumer, DataController, DataProducer, RuntimeConfig
+from repro import DataConsumer, DataController, DataProducer
 from repro.core.consent import ConsentScope
 from repro.core.enforcement import DetailRequest
 from repro.exceptions import AccessDeniedError
@@ -54,8 +54,7 @@ class TestDecisionCacheUnit:
 
 
 def build_world():
-    controller = DataController(
-        seed="perf-cache", runtime=RuntimeConfig(perf="indexed"))
+    controller = DataController(seed="perf-cache")
     hospital = DataProducer(controller, "Hospital", "Hospital")
     blood = hospital.declare_event_class(blood_test_schema())
     doctor = DataConsumer(controller, "Dr-Rossi", "Dr. Rossi",

@@ -1,18 +1,17 @@
-"""Mode equivalence and the ``css-bench-perf/1`` schema gate.
+"""Reference equivalence and the ``css-bench-perf/1`` schema gate.
 
-The perf layer's acceptance property: ``perf: indexed`` and
-``perf: none`` produce byte-identical decisions and audit trails on the
-same seed — checked here through the benchmark core's own equivalence
-harness, and enforced at CI time by ``benchmarks/check_perf_schema.py``,
-whose validation branches are unit-tested below.
+The indexed hot path's acceptance property: its decisions and audit
+trails equal the linear reference's on the same seed — checked here
+through the benchmark core's own equivalence harness, and enforced at CI
+time by ``benchmarks/check_perf_schema.py``, whose validation branches
+are unit-tested below.  The pinned digests the linear scans produced
+live in ``test_golden_witnesses.py``.
 """
 
 import copy
 
 from benchmarks.check_perf_schema import MIN_PDP_SPEEDUP, SCHEMA_ID, validate
 from repro.perf.bench import run_equivalence_check
-from repro.runtime.kernel import RuntimeConfig
-from repro.sim.scenario import CssScenario, ScenarioConfig
 
 
 class TestModeEquivalence:
@@ -20,20 +19,7 @@ class TestModeEquivalence:
         result = run_equivalence_check(events=30, patients=6, seed=11)
         assert result["identical"] is True
         assert result["audit_records"] > 0
-
-    def test_scenario_audit_trails_match_record_for_record(self):
-        def run(perf: str):
-            scenario = CssScenario(ScenarioConfig(
-                n_patients=6, n_events=25, seed=5,
-                runtime=RuntimeConfig(perf=perf),
-            ))
-            scenario.run()
-            return [record.to_payload()
-                    for record in scenario.controller.audit_log.records()]
-
-        indexed, baseline = run("indexed"), run("none")
-        assert len(indexed) == len(baseline)
-        assert indexed == baseline
+        assert result["decisions"] > 0
 
 
 def measurement(ops: float = 100.0) -> dict:
@@ -54,7 +40,7 @@ def valid_payload() -> dict:
         "quick": True,
         "pdp_decide": copy.deepcopy(comparison),
         "publish_fanout": copy.deepcopy(comparison),
-        "federated_details": [{**copy.deepcopy(comparison), "nodes": 2}],
+        "federated_details": [{**measurement(200.0), "nodes": 2}],
         "equivalence": {"identical": True, "audit_records": 42},
     }
 

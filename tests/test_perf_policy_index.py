@@ -4,15 +4,18 @@ The index may only ever drop policies whose target evaluates
 ``NotApplicable`` — candidates keep registration order, hierarchical
 ``actor_id`` grants resolve through the ancestor buckets, the buckets
 rebuild when the repository's epoch moves, and the indexed PDP returns
-the same decisions as the full linear compile-and-evaluate.
+the same decisions as the linear reference (full compile-and-evaluate).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.actors import Actor, ActorKind
 from repro.core.enforcement import DetailRequest
 from repro.core.policy import PolicyRepository, PrivacyPolicy
-from repro.perf.bench import build_decide_rig
+from repro.exceptions import AccessDeniedError
+from repro.perf.bench import build_decide_rig, reference_enforcer
 from repro.perf.policy_index import PolicyIndex, actor_ancestors
 
 
@@ -118,37 +121,56 @@ class TestEpochRebuild:
         assert index.is_time_bounded("Hospital", "BloodTest")
 
 
+def outcome(enforcer, request):
+    """The full decision an enforcer reaches: released fields or deny message."""
+    try:
+        return ("permit", enforcer.get_event_details(request).released_fields)
+    except AccessDeniedError as exc:
+        return ("deny", str(exc))
+
+
 class TestIndexedDecisionsMatchLinear:
+    """The decision oracle: the indexed PDP against the linear reference,
+    ``pep.authorize(repository.to_policy_set(...))``, on one controller."""
+
     @pytest.mark.parametrize("purpose", ["healthcare-treatment",
                                          "statistical-analysis"])
     def test_decide_agrees_across_modes_for_a_grid_of_actors(self, purpose):
-        indexed_controller, indexed_requests = build_decide_rig(
-            "indexed", policies=12)
-        linear_controller, linear_requests = build_decide_rig(
-            "none", policies=12)
-        event_id = {"indexed": indexed_requests[0].event_id,
-                    "none": linear_requests[0].event_id}
-        actors = [
-            Actor(actor_id="Doctor", name="Doctor",
-                  kind=ActorKind.CONSUMER, role="family-doctor"),
-            Actor(actor_id="Other-3", name="Other 3",
-                  kind=ActorKind.CONSUMER, role="unit"),
-            Actor(actor_id="Stranger", name="Stranger",
-                  kind=ActorKind.CONSUMER, role="unit"),
-        ]
-        for actor in actors:
-            outcomes = {}
-            for mode, controller in (("indexed", indexed_controller),
-                                     ("none", linear_controller)):
-                request = DetailRequest(
-                    actor=actor, event_type="BloodTest",
-                    event_id=event_id[mode], purpose=purpose,
-                )
-                outcomes[mode] = controller.enforcer.decide(request)
-            assert outcomes["indexed"] == outcomes["none"]
+        controller, requests = build_decide_rig(policies=12)
+        reference = reference_enforcer(controller)
+        for actor_id in ("Doctor", "Other-3", "Stranger"):
+            actor = Actor(actor_id=actor_id, name=actor_id,
+                          kind=ActorKind.CONSUMER,
+                          role="family-doctor" if actor_id == "Doctor" else "unit")
+            request = DetailRequest(
+                actor=actor, event_type="BloodTest",
+                event_id=requests[0].event_id, purpose=purpose,
+            )
+            assert controller.enforcer.decide(request) == reference.decide(request)
+
+    @given(actor_id=st.sampled_from(["Doctor", "Other-0", "Other-7",
+                                     "Other-7/Desk", "Stranger"]),
+           role=st.sampled_from(["family-doctor", "unit", ""]),
+           purpose=st.sampled_from(["healthcare-treatment",
+                                    "statistical-analysis", "billing"]))
+    @settings(max_examples=40, deadline=None)
+    def test_indexed_decisions_equal_the_reference(self, actor_id, role,
+                                                   purpose):
+        controller, requests = build_decide_rig(policies=12)
+        reference = reference_enforcer(controller)
+        request = DetailRequest(
+            actor=Actor(actor_id=actor_id, name=actor_id,
+                        kind=ActorKind.CONSUMER, role=role),
+            event_type="BloodTest", event_id=requests[0].event_id,
+            purpose=purpose,
+        )
+        expected = outcome(reference, request)
+        assert outcome(controller.enforcer, request) == expected
+        # A replay from the versioned decision cache decides the same.
+        assert outcome(controller.enforcer, request) == expected
 
     def test_the_index_scans_fewer_candidates_than_the_repository_holds(self):
-        controller, requests = build_decide_rig("indexed", policies=24)
+        controller, requests = build_decide_rig(policies=24)
         for request in requests:
             controller.enforcer.decide(request)
         index = controller.perf.policy_index

@@ -3,9 +3,8 @@
 The caches must not become a side channel: decision-cache keys are
 opaque keyed digests (no plaintext subject/actor identity), the perf
 counters label telemetry with cache *names* only, and a full federated
-scenario runs clean under the strict ``reject`` guard with the perf
-layer active — every label the fast paths emit passes the same guard
-the slow paths do.
+scenario runs clean under the strict ``reject`` guard — every label
+the fast paths emit passes the guard.
 """
 
 import re
@@ -40,7 +39,7 @@ def build_world(runtime: RuntimeConfig):
 class TestCacheKeysAreOpaque:
     def test_decision_cache_keys_carry_no_plaintext_identity(self):
         controller, doctor, notification = build_world(
-            RuntimeConfig(perf="indexed"))
+            RuntimeConfig())
         doctor.request_details(notification, "healthcare-treatment")
         keys = controller.perf.decisions.keys()
         assert keys
@@ -75,7 +74,7 @@ class TestCacheKeysAreOpaque:
 
 class TestTelemetryLabels:
     def test_perf_counters_label_the_cache_name_only(self):
-        runtime = RuntimeConfig(perf="indexed", telemetry="inmemory",
+        runtime = RuntimeConfig(telemetry="inmemory",
                                 telemetry_guard="reject")
         controller, doctor, notification = build_world(runtime)
         doctor.request_details(notification, "healthcare-treatment")
@@ -90,7 +89,7 @@ class TestTelemetryLabels:
                                               "seal"}
 
     def test_candidate_histogram_exists_and_is_label_safe(self):
-        runtime = RuntimeConfig(perf="indexed", telemetry="inmemory",
+        runtime = RuntimeConfig(telemetry="inmemory",
                                 telemetry_guard="reject")
         controller, doctor, notification = build_world(runtime)
         doctor.request_details(notification, "healthcare-treatment")
@@ -102,12 +101,11 @@ class TestTelemetryLabels:
 
 class TestRejectGuardFederated:
     def test_full_federated_scenario_passes_under_the_strict_guard(self):
-        """The acceptance property of satellite (c): perf indexed, guard
-        in reject mode, whole federated workload — no telemetry label
-        anywhere on the fast paths carries identifying data."""
+        """Guard in reject mode, whole federated workload — no telemetry
+        label anywhere on the fast paths carries identifying data."""
         scenario = FederatedScenario(FederatedScenarioConfig(
             nodes=3, n_events=40, n_patients=8, seed=11,
-            telemetry_guard="reject", perf="indexed",
+            telemetry_guard="reject",
         ))
         report = scenario.run()  # TelemetryPrivacyError would abort this
         assert report.events_published > 0
@@ -118,7 +116,7 @@ class TestRejectGuardFederated:
 
     def test_federated_link_transcripts_stay_clean_with_perf_on(self):
         scenario = FederatedScenario(FederatedScenarioConfig(
-            nodes=2, n_events=30, n_patients=6, seed=7, perf="indexed",
+            nodes=2, n_events=30, n_patients=6, seed=7,
         ))
         scenario.run()
         transcript = scenario.platform.link_transcripts()

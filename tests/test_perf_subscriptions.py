@@ -69,10 +69,9 @@ class TestIndexedRegistryAgreesWithLinear:
            topic=st.sampled_from(TOPICS))
     @settings(max_examples=60, deadline=None)
     def test_both_paths_agree_on_random_pattern_sets(self, patterns, topic):
-        registry = SubscriptionRegistry(indexed=True)
+        registry = SubscriptionRegistry()
         for index, pattern in enumerate(patterns):
             registry.add(subscription(index, pattern))
-        assert registry.indexed
         assert registry.matching_topic(topic) \
             == registry.matching_topic_linear(topic)
 
@@ -84,7 +83,7 @@ class TestIndexedRegistryAgreesWithLinear:
     @settings(max_examples=60, deadline=None)
     def test_agreement_survives_removals_and_readds(self, patterns,
                                                     removals, topic):
-        registry = SubscriptionRegistry(indexed=True)
+        registry = SubscriptionRegistry()
         for index, pattern in enumerate(patterns):
             registry.add(subscription(index, pattern))
         for removal in removals:
@@ -104,7 +103,7 @@ class TestIndexedRegistryAgreesWithLinear:
 class TestFanoutMemo:
     def test_second_lookup_is_memoized(self):
         perf = PerfLayer()
-        registry = SubscriptionRegistry(indexed=True, perf=perf)
+        registry = SubscriptionRegistry(perf=perf)
         registry.add(subscription(0, "events.#"))
         registry.matching_topic("events.health.BloodTest")
         registry.matching_topic("events.health.BloodTest")
@@ -112,7 +111,7 @@ class TestFanoutMemo:
         assert perf.stats.misses.get("fanout") == 1
 
     def test_subscribe_invalidates_the_memo(self):
-        registry = SubscriptionRegistry(indexed=True)
+        registry = SubscriptionRegistry()
         registry.add(subscription(0, "events.#"))
         before = registry.matching_topic("events.health.BloodTest")
         registry.add(subscription(1, "events.health.*"))
@@ -122,7 +121,7 @@ class TestFanoutMemo:
             "events.health.BloodTest")
 
     def test_withdraw_invalidates_the_memo(self):
-        registry = SubscriptionRegistry(indexed=True)
+        registry = SubscriptionRegistry()
         registry.add(subscription(0, "events.#"))
         registry.add(subscription(1, "events.health.*"))
         registry.matching_topic("events.health.BloodTest")
@@ -131,7 +130,7 @@ class TestFanoutMemo:
         assert [sub.subscription_id for sub in after] == ["sub-1"]
 
     def test_memo_returns_a_copy_callers_cannot_corrupt(self):
-        registry = SubscriptionRegistry(indexed=True)
+        registry = SubscriptionRegistry()
         registry.add(subscription(0, "events.#"))
         first = registry.matching_topic("events.health.BloodTest")
         first.clear()

@@ -56,13 +56,12 @@ class TestKernelRegistry:
         assert wiring["federation"] == ("none", "static")
         assert wiring["slo"] == ("default", "noop")
         assert wiring["profiling"] == ("noop", "sampling")
-        assert wiring["perf"] == ("indexed", "none")
         assert wiring["store"] == ("jsonl", "segmented")
         assert wiring["sched"] == ("fair", "none")
         assert wiring["recorder"] == ("noop", "ring")
         assert wiring["batch"] == ("off", "on")
         assert set(wiring) == {"audit", "batch", "cipher", "federation",
-                               "fetcher", "index", "pdp", "perf",
+                               "fetcher", "index", "pdp",
                                "profiling", "recorder", "sched", "slo",
                                "store", "telemetry", "transport"}
 
