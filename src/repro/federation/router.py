@@ -51,6 +51,8 @@ class FederationRouter:
 
     def __init__(self, node: "FederationNode") -> None:
         self.node = node
+        #: (consumer, topic) -> the local subscription feeding its inbox.
+        self._subscriptions: dict[tuple[str, str], str] = {}
 
     def _link_to(self, home_node_id: str):
         return self.node.membership.link(self.node.node_id, home_node_id)
@@ -67,7 +69,10 @@ class FederationRouter:
         The home node's policy repository authorizes (or queues a pending
         access request and denies); on permit it relays the class topic to
         this node, where a local durable subscription feeds ``deliver``.
-        Returns the local subscription id.
+        Returns the local subscription id.  A consumer that already holds
+        the class is still authorized and audited by the home node, then
+        keeps its existing subscription (and ``deliver``), so it is never
+        notified twice.
         """
         response = self._link_to(home_node_id).call("subscribe.remote", {
             "consumer_id": consumer.actor_id,
@@ -77,10 +82,13 @@ class FederationRouter:
         })
         _raise_for(response)
         topic = response["topic"]
-        bus = self.node.controller.bus
-        bus.declare_topic(topic)
-        subscription = bus.subscribe(consumer.actor_id, topic, deliver)
-        return subscription.subscription_id
+        key = (consumer.actor_id, topic)
+        if key not in self._subscriptions:
+            bus = self.node.controller.bus
+            bus.declare_topic(topic)
+            subscription = bus.subscribe(consumer.actor_id, topic, deliver)
+            self._subscriptions[key] = subscription.subscription_id
+        return self._subscriptions[key]
 
     def request_remote_details(
         self, home_node_id: str, request: DetailRequest

@@ -136,6 +136,26 @@ class TestSubscriptionGating:
         assert denied == 1
 
 
+    def test_resubscribing_keeps_one_subscription(self, platform_small):
+        controller = platform_small.controller
+        doctor = platform_small.doctor  # already subscribed by the fixture
+        first = controller.subscribe(doctor.actor_id, "BloodTest",
+                                     lambda notification: None)
+        second = doctor.subscribe("BloodTest")
+        assert second == first
+        permits = (AuditQuery().by_actor(doctor.actor_id)
+                   .by_action(AuditAction.SUBSCRIBE)
+                   .by_outcome(AuditOutcome.PERMIT)
+                   .count(controller.audit_log))
+        assert permits == 3  # every attempt is checked and audited
+        notification = platform_small.publish_blood_test()
+        assert [n.event_id for n in doctor.inbox] == [notification.event_id]
+        notified = (AuditQuery().by_actor(doctor.actor_id)
+                    .by_action(AuditAction.NOTIFY)
+                    .count(controller.audit_log))
+        assert notified == 1
+
+
 class TestRequestDetails:
     def test_doctor_gets_granted_fields_only(self, platform_small):
         notification = platform_small.publish_blood_test()

@@ -86,6 +86,30 @@ class TestCrossNodeSubscription:
         # The relay crossed at least one link.
         assert platform.total_hops() >= 1
 
+    def test_resubscribing_a_remote_class_keeps_one_subscription(
+        self, federation_two
+    ):
+        from repro.audit.log import AuditAction, AuditOutcome
+        from repro.audit.query import AuditQuery
+
+        platform = federation_two.platform
+        first = platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+        second = platform.subscribe("FamilyDoctors/Dr-Rossi", "BloodTest")
+        assert second == first
+        home_log = platform.controller_of("node-0").audit_log
+        permits = (AuditQuery().by_actor("FamilyDoctors/Dr-Rossi")
+                   .by_action(AuditAction.SUBSCRIBE)
+                   .by_outcome(AuditOutcome.PERMIT).count(home_log))
+        assert permits == 2  # the home node checked and audited both
+        notification = federation_two.publish_blood_test()
+        platform.dispatch_all()
+        doctor = platform.consumer("FamilyDoctors/Dr-Rossi")
+        assert [n.event_id for n in doctor.inbox] == [notification.event_id]
+        notified = (AuditQuery().by_actor("FamilyDoctors/Dr-Rossi")
+                    .by_action(AuditAction.NOTIFY)
+                    .count(platform.controller_of("node-1").audit_log))
+        assert notified == 1
+
     def test_one_relay_is_shared_per_peer_and_topic(self, federation_two):
         platform = federation_two.platform
         platform.add_consumer(
